@@ -45,10 +45,11 @@ def anchored_ktruss_counts(
     * ``measured_gain`` — retained ``(k-1)``-trussness edges that are
       *not* protected (the ATR paper's trussness-gain measurement).
     """
-    live = {e for e in range(g.m) if int(st.t[e]) >= k - 1}
+    t, tri, ends = st.t_list, g.tri, g.edges.tolist()
+    live = {e for e in range(g.m) if t[e] >= k - 1}
 
     def protected(e: int) -> bool:
-        u, v = g.edge(e)
+        u, v = ends[e]
         return u in anchored_vertices or v in anchored_vertices
 
     # Queue-based peel: support within `live` computed once, then
@@ -56,9 +57,7 @@ def anchored_ktruss_counts(
     # but O(m * deg) instead of quadratic.
     sup: dict[int, int] = {}
     for e in live:
-        sup[e] = sum(
-            1 for _w, e1, e2 in g.triangles_of(e) if e1 in live and e2 in live
-        )
+        sup[e] = sum(1 for e1, e2 in tri[e] if e1 in live and e2 in live)
     queue = deque(e for e in live if sup[e] < k - 2 and not protected(e))
     queued = set(queue)
     while queue:
@@ -67,14 +66,14 @@ def anchored_ktruss_counts(
         if e not in live or sup[e] >= k - 2 or protected(e):
             continue
         live.discard(e)
-        for _w, e1, e2 in g.triangles_of(e):
+        for e1, e2 in tri[e]:
             if e1 in live and e2 in live:
                 for p in (e1, e2):
                     sup[p] -= 1
                     if sup[p] < k - 2 and not protected(p) and p not in queued:
                         queue.append(p)
                         queued.add(p)
-    frontier = [e for e in live if int(st.t[e]) == k - 1]
+    frontier = [e for e in live if t[e] == k - 1]
     objective = len(frontier)
     measured = sum(1 for e in frontier if not protected(e))
     return objective, measured

@@ -25,7 +25,6 @@ provably exact.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.truss.local import INF_T, LocalGraph, TrussState
@@ -55,19 +54,19 @@ def _roots(
     ``l(e) > l(x)``. Anchored edges are skipped (they have no trussness
     to gain).
     """
-    tx, lx = int(st.t[x]), int(st.layer[x])
+    t, lay = st.t_list, st.layer_list
+    tx, lx = t[x], lay[x]
     roots: dict[int, list[int]] = {}
-    seen: set[int] = set()
-    for _w, e1, e2 in g.triangles_of(x):
-        for e in (e1, e2):
-            if e in seen:
+    for pair in g.tri[x]:
+        for e in pair:
+            # x is never its own partner, so ``reads`` doubles as the seen-set.
+            if e in reads:
                 continue
-            seen.add(e)
             reads.add(e)
-            te = int(st.t[e])
+            te = t[e]
             if te >= INF_T:
                 continue
-            if te > tx or (te == tx and int(st.layer[e]) > lx):
+            if te > tx or (te == tx and lay[e] > lx):
                 roots.setdefault(te, []).append(e)
     return roots
 
@@ -77,43 +76,39 @@ def upward_candidates(
 ) -> tuple[dict[int, set[int]], set[int]]:
     """Upward-route candidate followers of ``x``, grouped by trussness.
 
-    Per level ``i``: BFS from the level-``i`` roots, expanding from
+    Per level ``i``: search from the level-``i`` roots, expanding from
     edge ``e`` to any neighbour-edge ``e'`` with ``t(e') = i`` and
     ``e < e'`` in deletion order (Definition 7). Returns the per-level
     candidate sets and the read-set of consulted edges.
     """
+    t, lay, tri = st.t_list, st.layer_list, g.tri
     reads: set[int] = {x}
     roots = _roots(g, st, x, reads)
     cands: dict[int, set[int]] = {}
     for i, rs in roots.items():
+        # Every level-i edge has t = i, so ``e < e'`` reduces to l(e) <= l(e').
         level: set[int] = set(rs)
-        queue = deque(rs)
-        while queue:
-            e = queue.popleft()
-            oe = st.order(e)
-            for _w, e1, e2 in g.triangles_of(e):
-                for p in (e1, e2):
-                    if p in level:
-                        continue
-                    reads.add(p)
-                    if (
-                        int(st.t[p]) == i
-                        and p != x
-                        and oe <= st.order(p)
-                    ):
-                        level.add(p)
-                        queue.append(p)
+        stack = list(rs)
+        while stack:
+            e = stack.pop()
+            le = lay[e]
+            for e1, e2 in tri[e]:
+                if e1 not in level:
+                    reads.add(e1)
+                    if t[e1] == i and e1 != x and le <= lay[e1]:
+                        level.add(e1)
+                        stack.append(e1)
+                if e2 not in level:
+                    reads.add(e2)
+                    if t[e2] == i and e2 != x and le <= lay[e2]:
+                        level.add(e2)
+                        stack.append(e2)
         cands[i] = level
     return cands, reads
 
 
 def _peel_level(
-    g: LocalGraph,
-    st: TrussState,
-    x: int,
-    i: int,
-    cand: set[int],
-    reads: set[int],
+    g: LocalGraph, st: TrussState, x: int, i: int, cand: set[int]
 ) -> set[int]:
     """Maximal subset of level-``i`` candidates passing the support check.
 
@@ -122,38 +117,43 @@ def _peel_level(
     has trussness ``> i``, or is itself a surviving candidate. Peeling
     to the greatest fixpoint reproduces Algorithm 3's
     survived/eliminated/Retract outcome exactly.
+
+    Each candidate's effective triangles are counted once, against the
+    full candidate set; a dropped candidate then decrements each
+    surviving partner whose third edge is still effective (the
+    support-decrement peel of Wang & Cheng, PVLDB 2012). The peel
+    consults only partners of candidates, and :func:`upward_candidates`
+    already read every partner of every candidate it expanded, so the
+    peel adds nothing to the read-set.
     """
+    t, tri = st.t_list, g.tri
     survivors = set(cand)
-
-    def eff(e: int) -> int:
+    need = i - 1
+    count: dict[int, int] = {}
+    drop: list[int] = []
+    for e in survivors:
         s = 0
-        for _w, e1, e2 in g.triangles_of(e):
-            ok = True
-            for p in (e1, e2):
-                reads.add(p)
-                tp = int(st.t[p])
-                if p == x or tp >= INF_T or tp > i or (tp == i and p in survivors):
-                    continue
-                ok = False
-                break
-            if ok:
+        for e1, e2 in tri[e]:
+            # Anchored edges have t = INF_T > i.
+            if (e1 == x or t[e1] > i or e1 in survivors) and (
+                e2 == x or t[e2] > i or e2 in survivors
+            ):
                 s += 1
-        return s
-
-    queue = deque(survivors)
-    queued = set(survivors)
-    while queue:
-        e = queue.popleft()
-        queued.discard(e)
-        if e not in survivors:
-            continue
-        if eff(e) < i - 1:
-            survivors.discard(e)
-            for _w, e1, e2 in g.triangles_of(e):
-                for p in (e1, e2):
-                    if p in survivors and p not in queued:
-                        queue.append(p)
-                        queued.add(p)
+        count[e] = s
+        if s < need:
+            drop.append(e)
+    while drop:
+        e = drop.pop()
+        survivors.discard(e)
+        for e1, e2 in tri[e]:
+            if e1 in survivors and (e2 == x or t[e2] > i or e2 in survivors):
+                count[e1] -= 1
+                if count[e1] == need - 1:
+                    drop.append(e1)
+            if e2 in survivors and (e1 == x or t[e1] > i or e1 in survivors):
+                count[e2] -= 1
+                if count[e2] == need - 1:
+                    drop.append(e2)
     return survivors
 
 
@@ -168,7 +168,7 @@ def get_followers(g: LocalGraph, st: TrussState, x: int) -> FollowerResult:
     all_cands: set[int] = set()
     for i, cand in cands.items():
         all_cands |= cand
-        followers |= _peel_level(g, st, x, i, cand, reads)
+        followers |= _peel_level(g, st, x, i, cand)
     return FollowerResult(
         x=x,
         followers=frozenset(followers),

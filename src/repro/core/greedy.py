@@ -31,12 +31,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.followers import FollowerResult, get_followers
 from repro.core.tree import build_tree, classify_reuse, expired_nodes, node_signature
-from repro.truss.local import LocalGraph, TrussState, decompose
+from repro.truss.local import LocalGraph, TrussState, decompose, trussness_gain
 
 
 @dataclass
@@ -60,13 +61,7 @@ class GreedyResult:
     rounds: list[RoundStats]
     total_gain: int
     seconds: float
-
-    @property
-    def anchor_edges(self) -> list[tuple[int, int]]:
-        """Anchors as vertex pairs (requires ``g`` used at run time)."""
-        return self._edges  # set by run_greedy
-
-    _edges: list[tuple[int, int]] = field(default_factory=list)
+    anchor_edges: list[tuple[int, int]] = field(default_factory=list)
 
 
 def _eval_followers_local(
@@ -131,24 +126,18 @@ def _eval_gain_by_decomp_spark(
     """BASE candidate evaluation: full decomposition per candidate.
 
     Each Spark task runs ``decompose(G_{A∪{e}})`` for its batch and
-    returns the candidate's trussness gain against ``st``.
+    returns the candidate's trussness gain against ``st``, the
+    decomposition of ``G_A``.
     """
     parts = max(1, min(spark.sparkContext.defaultParallelism * 4, len(cand)))
     ids = spark.createDataFrame(pd.DataFrame({"eid": cand})).repartition(parts)
-    base_t = st.t
 
     def kernel(batches):
         for pdf in batches:
             rows = []
             for e in pdf["eid"]:
                 e = int(e)
-                after = decompose(g, anchors | {e})
-                gain = 0
-                for i in range(g.m):
-                    if i == e or i in anchors:
-                        continue
-                    gain += int(after.t[i]) - int(base_t[i])
-                rows.append((e, gain))
+                rows.append((e, trussness_gain(g, st, anchors | {e})))
             yield pd.DataFrame(rows, columns=["eid", "gain"])
 
     res = ids.mapInPandas(kernel, schema="eid long, gain long").toPandas()
@@ -162,7 +151,7 @@ def _pick_best(gains: dict[int, int]) -> tuple[int, int]:
 
 
 def run_greedy(
-    spark: SparkSession,
+    spark: SparkSession | None,
     g: LocalGraph,
     b: int,
     method: str = "gas",
@@ -173,12 +162,15 @@ def run_greedy(
 
     ``method`` in ``{"base", "base+", "gas"}``. ``spark_threshold`` is
     the candidate count above which evaluation fans out to Spark;
-    pass 0 to force the distributed path (tests do). ``track_tree``
+    pass 0 to force the distributed path (tests do). With ``spark``
+    ``None`` every evaluation runs on the driver. ``track_tree``
     additionally rebuilds the truss component tree per round and logs
     the FR/PR/NR reuse classes (costs one tree build per round).
     """
     if method not in {"base", "base+", "gas"}:
         raise ValueError(f"unknown method {method!r}")
+    if b < 0:
+        raise ValueError(f"budget b must be >= 0, got {b}")
     t_start = time.perf_counter()
     anchors: set[int] = set()
     st = decompose(g, frozenset())
@@ -196,7 +188,7 @@ def run_greedy(
         if method == "base":
             gains = (
                 _eval_gain_by_decomp_spark(spark, g, st, frozenset(anchors), cand)
-                if len(cand) >= spark_threshold
+                if spark is not None and len(cand) >= spark_threshold
                 else {
                     e: len(get_followers_by_decomp(g, st, frozenset(anchors), e))
                     for e in cand
@@ -211,7 +203,7 @@ def run_greedy(
                 cache.clear()
             fresh = (
                 _eval_followers_spark(spark, g, st, stale)
-                if len(stale) >= spark_threshold
+                if spark is not None and len(stale) >= spark_threshold
                 else _eval_followers_local(g, st, stale)
             )
             cache.update(fresh)
@@ -234,11 +226,7 @@ def run_greedy(
             tree, sig = new_tree, new_sig
 
         if method == "gas":
-            changed = {
-                e
-                for e in range(g.m)
-                if int(st.t[e]) != int(prev_t[e]) or int(st.layer[e]) != int(prev_l[e])
-            }
+            changed = set(np.flatnonzero((st.t != prev_t) | (st.layer != prev_l)).tolist())
             changed.add(best)
             cache.pop(best, None)
             if changed:
@@ -255,22 +243,17 @@ def run_greedy(
             )
         )
 
-    total_gain = int(
-        sum(
-            int(st.t[e]) - int(st0_t[e])
-            for e in range(g.m)
-            if e not in anchors
-        )
-    )
-    res = GreedyResult(
+    picked = [r.best for r in rounds]
+    keep = np.ones(g.m, dtype=bool)
+    keep[picked] = False
+    return GreedyResult(
         method=method,
-        anchors=[r.best for r in rounds],
+        anchors=picked,
         rounds=rounds,
-        total_gain=total_gain,
+        total_gain=int((st.t[keep] - st0_t[keep]).sum()),
         seconds=time.perf_counter() - t_start,
+        anchor_edges=[g.edge(e) for e in picked],
     )
-    res._edges = [g.edge(e) for e in res.anchors]
-    return res
 
 
 def get_followers_by_decomp(
@@ -278,10 +261,6 @@ def get_followers_by_decomp(
 ) -> frozenset[int]:
     """BASE's candidate evaluation: followers via full re-decomposition."""
     after = decompose(g, anchors | {x})
-    return frozenset(
-        e
-        for e in range(g.m)
-        if e != x
-        and e not in anchors
-        and int(after.t[e]) > int(st.t[e])
-    )
+    up = after.t > st.t
+    up[[x, *anchors]] = False
+    return frozenset(np.flatnonzero(up).tolist())

@@ -62,32 +62,33 @@ class TrussTree:
 def _components(g: LocalGraph, edges: set[int]) -> list[set[int]]:
     """Triangle-connected components of the subgraph induced by ``edges``.
 
-    Union-find over edges, uniting the three edges of every triangle
-    whose edges all survive in ``edges``. Triangle-free edges are
-    singleton components.
+    Depth-first search over edges, stepping from an edge to both
+    partners of every triangle whose edges all survive in ``edges``.
+    Triangle-free edges are singleton components. Components come in
+    the order of their first member in ``edges``.
     """
-    parent = {e: e for e in edges}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def unite(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    tri = g.tri
+    seen: set[int] = set()
+    comps: list[set[int]] = []
     for e in edges:
-        for _w, e1, e2 in g.triangles_of(e):
-            if e1 in edges and e2 in edges:
-                unite(e, e1)
-                unite(e, e2)
-    comps: dict[int, set[int]] = {}
-    for e in edges:
-        comps.setdefault(find(e), set()).add(e)
-    return list(comps.values())
+        if e in seen:
+            continue
+        seen.add(e)
+        comp = {e}
+        stack = [e]
+        while stack:
+            for e1, e2 in tri[stack.pop()]:
+                if e1 in edges and e2 in edges:
+                    if e1 not in seen:
+                        seen.add(e1)
+                        comp.add(e1)
+                        stack.append(e1)
+                    if e2 not in seen:
+                        seen.add(e2)
+                        comp.add(e2)
+                        stack.append(e2)
+        comps.append(comp)
+    return comps
 
 
 def build_tree(g: LocalGraph, st: TrussState) -> TrussTree:
@@ -97,6 +98,7 @@ def build_tree(g: LocalGraph, st: TrussState) -> TrussTree:
     are placed by their ``INF_T`` trussness in the deepest node of
     their component.
     """
+    t = st.t_list
     node_of: dict[int, TreeNode] = {}
     roots: list[TreeNode] = []
     all_edges = set(range(g.m))
@@ -108,9 +110,9 @@ def build_tree(g: LocalGraph, st: TrussState) -> TrussTree:
         if not edges:
             continue
         for comp in _components(g, edges):
-            kmin = min(int(st.t[e]) for e in comp)
+            kmin = min(t[e] for e in comp)
             tn = TreeNode(K=kmin, P=parent)
-            members = {e for e in comp if int(st.t[e]) == kmin}
+            members = {e for e in comp if t[e] == kmin}
             tn.E = members
             tn.I = min(members)
             for e in members:
@@ -131,12 +133,13 @@ def sla(g: LocalGraph, st: TrussState, tree: TrussTree, e: int) -> set[int]:
     ``id ∈ sla(e)`` iff some neighbour-edge ``e'`` of ``e`` has
     ``t(e') >= t(e)`` and lives in the node with ``TN.I = id``.
     """
-    te = int(st.t[e])
+    t, node_of = st.t_list, tree.node_of
+    te = t[e]
     out: set[int] = set()
-    for _w, e1, e2 in g.triangles_of(e):
-        for p in (e1, e2):
-            if int(st.t[p]) >= te:
-                out.add(tree.node_id(p))
+    for pair in g.tri[e]:
+        for p in pair:
+            if t[p] >= te:
+                out.add(node_of[p].I)
     return out
 
 
@@ -147,12 +150,8 @@ def node_signature(tree: TrussTree, st: TrussState) -> dict[int, frozenset[tuple
     same member edges with the same decomposition order. Used to decide
     which nodes *expired* after an anchoring.
     """
-    out: dict[int, frozenset[tuple[int, int, int]]] = {}
-    for tn in tree.nodes():
-        out[tn.I] = frozenset(
-            (e, int(st.t[e]), int(st.layer[e])) for e in tn.E
-        )
-    return out
+    t, lay = st.t_list, st.layer_list
+    return {tn.I: frozenset((e, t[e], lay[e]) for e in tn.E) for tn in tree.nodes()}
 
 
 def expired_nodes(
@@ -180,9 +179,10 @@ def classify_reuse(
     ``PR`` (partially reusable): some but not all expired.
     ``NR`` (non-reusable): all expired.
     """
+    t = st.t_list
     out: dict[int, str] = {}
     for e in range(g.m):
-        if int(st.t[e]) >= INF_T:
+        if t[e] >= INF_T:
             continue
         ids = sla(g, st, tree, e) | {tree.node_id(e)}
         hit = len(ids & es)

@@ -70,6 +70,58 @@ def test_unknown_method_raises():
         run_greedy(None, g, 1, "bogus")
 
 
+def test_negative_budget_raises():
+    g = LocalGraph(truss_ladder())
+    for method in ("base", "base+", "gas"):
+        with pytest.raises(ValueError):
+            run_greedy(None, g, -1, method)
+
+
+@pytest.mark.parametrize("method", ["base", "gas"])
+def test_no_spark_runs_on_driver_above_default_threshold(method):
+    # m = 581 is above the default spark_threshold of 512 candidates.
+    g = LocalGraph(
+        community_graph(n=200, n_cliques=70, clique_max=9, n_noise=60, drop_frac=0.1, seed=0)
+    )
+    assert g.m >= 512
+    default = run_greedy(None, g, 2, method)
+    forced = run_greedy(None, g, 2, method, spark_threshold=LOCAL)
+    assert default.anchors == forced.anchors
+    assert default.total_gain == forced.total_gain
+
+
+@pytest.mark.parametrize("seed", [0, 2, 4])
+def test_gas_reused_gains_equal_fresh_followers(seed, monkeypatch):
+    """Every gain GAS ranks, cached or not, equals a fresh follower count.
+
+    A cached result served after one of its read edges changed would
+    show up as a gain that differs from the fresh evaluation on that
+    round's state.
+    """
+    import repro.core.greedy as greedy
+    from repro.core.followers import get_followers
+
+    seen: list[dict[int, int]] = []
+    pick = greedy._pick_best
+
+    def capture(gains):
+        seen.append(dict(gains))
+        return pick(gains)
+
+    monkeypatch.setattr(greedy, "_pick_best", capture)
+    g = LocalGraph(
+        community_graph(n=60, n_cliques=25, clique_max=8, n_noise=20, drop_frac=0.1, seed=seed)
+    )
+    r = run_greedy(None, g, 5, "gas", spark_threshold=LOCAL)
+    assert len(seen) == len(r.anchors) == 5
+    assert sum(rd.reused for rd in r.rounds) > 0
+    for k, gains in enumerate(seen):
+        st = decompose(g, frozenset(r.anchors[:k]))
+        assert set(gains) == set(range(g.m)) - set(r.anchors[:k])
+        for e, gain in gains.items():
+            assert gain == get_followers(g, st, e).gain, (seed, k, e)
+
+
 def test_track_tree_reports_classes():
     g = LocalGraph(
         community_graph(n=40, n_cliques=14, n_noise=10, drop_frac=0.12, seed=4)
