@@ -18,15 +18,16 @@ reports and is the root of AKT's poor ratios there: AKT's greedy
 choice optimises coverage by protection, not global trussness.
 
 Candidate vertices are restricted to endpoints of ``(k-1)``-trussness
-edges (as in [2]); marginal gains fan out over Spark.
+edges (as in [2]); marginal gains go through
+:func:`repro.fanout.fan_out`.
 """
 from __future__ import annotations
 
 from collections import deque
 
-import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState
 
 
@@ -92,7 +93,7 @@ def akt_greedy(
     st: TrussState,
     k: int,
     b: int,
-    spark_threshold: int = 24,
+    spark_threshold: int | None = None,
     cand_cap: int = 40,
 ) -> tuple[int, list[int]]:
     """Greedy ``b`` anchor vertices for level ``k``.
@@ -123,26 +124,7 @@ def akt_greedy(
         def objective_of(v: int) -> int:
             return anchored_ktruss_counts(g, st, k, frozenset(anchored | {v}))[0]
 
-        if spark is None or len(cands) < spark_threshold:
-            scored = {v: objective_of(v) for v in cands}
-        else:
-            parts = max(
-                1,
-                min(spark.sparkContext.defaultParallelism * 2, len(cands) // 8 + 1),
-            )
-            vdf = spark.createDataFrame(pd.DataFrame({"v": cands})).repartition(parts)
-
-            def kernel(batches):
-                for pdf in batches:
-                    yield pd.DataFrame(
-                        {
-                            "v": pdf["v"],
-                            "obj": [objective_of(int(v)) for v in pdf["v"]],
-                        }
-                    )
-
-            res = vdf.mapInPandas(kernel, schema="v long, obj long").toPandas()
-            scored = {int(r.v): int(r.obj) for r in res.itertuples(index=False)}
+        scored = dict(zip(cands, fan_out(spark, cands, objective_of, spark_threshold)))
         v_best = min(scored, key=lambda v: (-scored[v], v))
         anchored.add(v_best)
     gain = anchored_ktruss_gain(g, st, k, frozenset(anchored))

@@ -2,16 +2,17 @@
 
 Feasible only on tiny graphs (the paper extracts 150-250-edge
 neighbourhood samples); used here to bound greedy's optimality gap in
-tests and in the Exp-2-style harness. Combinations fan out over Spark.
+tests and in the Exp-2-style harness. Combinations go through
+:func:`repro.fanout.fan_out`.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.baselines.random_sets import evaluate_anchor_set
+from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState
 
 
@@ -20,7 +21,7 @@ def exact_best(
     g: LocalGraph,
     st: TrussState,
     b: int,
-    spark_threshold: int = 256,
+    spark_threshold: int | None = None,
 ) -> tuple[int, list[int]]:
     """Optimal ``b``-edge anchor set by brute force.
 
@@ -32,24 +33,6 @@ def exact_best(
     def gain_of(c: tuple[int, ...]) -> int:
         return evaluate_anchor_set(g, st, frozenset(c))
 
-    if spark is None or len(combos) < spark_threshold:
-        scored = [(gain_of(c), list(c)) for c in combos]
-    else:
-        pdf = pd.DataFrame({"i": range(len(combos))})
-        parts = max(1, min(spark.sparkContext.defaultParallelism * 2, len(combos) // 8 + 1))
-        cdf = spark.createDataFrame(pdf).repartition(parts)
-
-        def kernel(batches):
-            for batch in batches:
-                rows = []
-                for i in batch["i"]:
-                    c = combos[int(i)]
-                    rows.append((int(i), gain_of(c)))
-                yield pd.DataFrame(rows, columns=["i", "gain"])
-
-        res = cdf.mapInPandas(kernel, schema="i long, gain long").toPandas()
-        scored = [
-            (int(r.gain), list(combos[int(r.i)])) for r in res.itertuples(index=False)
-        ]
+    scored = zip(fan_out(spark, combos, gain_of, spark_threshold), combos)
     best = max(scored, key=lambda t: (t[0], [-x for x in t[1]]))
-    return best[0], best[1]
+    return best[0], list(best[1])

@@ -9,16 +9,16 @@ EXPERIMENTS.md):
 * **Sup**  — pool = top 20% of edges by support;
 * **Tur**  — pool = top 20% of edges by upward-route size.
 
-Evaluating a trial is a full anchored truss decomposition, so the
-trials fan out over Spark (one local-kernel decomposition per trial,
-graph in the task closure).
+Evaluating a trial is a full anchored truss decomposition; the trials
+go through :func:`repro.fanout.fan_out` (one local-kernel decomposition
+per trial, graph in the task closure when they ship to Spark).
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState, decompose
 
 
@@ -45,13 +45,14 @@ def random_baseline(
     pool: np.ndarray,
     trials: int,
     seed: int = 0,
-    spark_threshold: int = 64,
+    spark_threshold: int | None = None,
 ) -> tuple[int, list[int]]:
     """Best trussness gain over ``trials`` random ``b``-subsets of ``pool``.
 
     Returns ``(best_gain, best_anchor_ids)``. Deterministic in ``seed``:
     trial ``i`` uses rng ``seed * 10^6 + i`` so the distributed and
-    serial paths draw identical sets.
+    serial paths draw identical sets, and ties go to the lowest trial on
+    both. ``spark_threshold`` is passed to :func:`~repro.fanout.fan_out`.
     """
     b_eff = min(b, len(pool))
 
@@ -61,24 +62,6 @@ def random_baseline(
         ids = [int(v) for v in pick]
         return evaluate_anchor_set(g, st, frozenset(ids)), ids
 
-    if spark is None or trials < spark_threshold:
-        results = [run_trial(i) for i in range(trials)]
-    else:
-        parts = max(1, min(spark.sparkContext.defaultParallelism * 2, trials))
-        tdf = spark.createDataFrame(pd.DataFrame({"i": range(trials)})).repartition(parts)
-
-        def kernel(batches):
-            for pdf in batches:
-                rows = []
-                for i in pdf["i"]:
-                    gain, ids = run_trial(int(i))
-                    rows.append((int(i), gain, ",".join(map(str, ids))))
-                yield pd.DataFrame(rows, columns=["i", "gain", "ids"])
-
-        res = tdf.mapInPandas(kernel, schema="i long, gain long, ids string").toPandas()
-        results = [
-            (int(r.gain), [int(v) for v in r.ids.split(",")] if r.ids else [])
-            for r in res.itertuples(index=False)
-        ]
+    results = fan_out(spark, range(trials), run_trial, spark_threshold)
     best_gain, best_ids = max(results, key=lambda t: t[0])
     return best_gain, best_ids

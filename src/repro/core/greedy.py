@@ -20,23 +20,27 @@ candidate is evaluated:
   executable reuse test is the read-set, not the tree).
 
 Candidate evaluation is the hot loop and is *embarrassingly parallel
-across candidates*, so it fans out over Spark: candidate edge ids are a
-DataFrame, the (small) graph + decomposition state ride in the task
-closure, and ``mapInPandas`` runs the local kernel per batch. Below
-``spark_threshold`` candidates the driver evaluates directly — task
-overhead would dominate.
+across candidates*, so it goes through :func:`repro.fanout.fan_out`:
+the driver evaluates candidates first, and the rest ship to one Spark
+task per core (graph and decomposition state in the closure) only when
+the projected driver time beats the fixed cost of a Spark job. GAS's
+later rounds re-evaluate only stale candidates and stay on the driver;
+on the facebook stand-in even round 1 (about 1 s of follower work)
+stays there in a fresh session, while BASE's per-candidate
+decompositions ship.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.followers import FollowerResult, get_followers
 from repro.core.tree import build_tree, classify_reuse, expired_nodes, node_signature
+from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState, decompose, trussness_gain
 
 
@@ -71,77 +75,33 @@ def _eval_followers_local(
 
 
 def _eval_followers_spark(
-    spark: SparkSession, g: LocalGraph, st: TrussState, cand: list[int]
-) -> dict[int, FollowerResult]:
-    """Fan the follower kernel out over Spark tasks.
-
-    Follower / read sets come back as comma-joined id strings — scalar
-    columns keep the Arrow exchange trivial and the result is tiny.
-    """
-    parts = max(1, min(spark.sparkContext.defaultParallelism * 2, len(cand) // 32 + 1))
-    ids = spark.createDataFrame(pd.DataFrame({"eid": cand})).repartition(parts)
-
-    def kernel(batches):
-        for pdf in batches:
-            rows = []
-            for e in pdf["eid"]:
-                fr = get_followers(g, st, int(e))
-                rows.append(
-                    (
-                        int(e),
-                        ",".join(map(str, sorted(fr.followers))),
-                        ",".join(map(str, sorted(fr.reads))),
-                        ",".join(map(str, sorted(fr.candidates))),
-                    )
-                )
-            yield pd.DataFrame(
-                rows, columns=["eid", "followers", "reads", "cands"]
-            )
-
-    res = ids.mapInPandas(
-        kernel, schema="eid long, followers string, reads string, cands string"
-    ).toPandas()
-    out: dict[int, FollowerResult] = {}
-
-    def ids_of(s: str) -> frozenset[int]:
-        return frozenset(int(v) for v in s.split(",")) if s else frozenset()
-
-    for row in res.itertuples(index=False):
-        out[int(row.eid)] = FollowerResult(
-            x=int(row.eid),
-            followers=ids_of(row.followers),
-            candidates=ids_of(row.cands),
-            reads=ids_of(row.reads),
-        )
-    return out
-
-
-def _eval_gain_by_decomp_spark(
     spark: SparkSession,
+    g: LocalGraph,
+    st: TrussState,
+    cand: list[int],
+    spark_threshold: int | None = None,
+) -> dict[int, FollowerResult]:
+    """The follower kernel over ``cand``, fanned out by :func:`fan_out`."""
+    return dict(zip(cand, fan_out(spark, cand, partial(get_followers, g, st), spark_threshold)))
+
+
+def _eval_gains_by_decomp(
+    spark: SparkSession | None,
     g: LocalGraph,
     st: TrussState,
     anchors: frozenset[int],
     cand: list[int],
+    spark_threshold: int | None = None,
 ) -> dict[int, int]:
     """BASE candidate evaluation: full decomposition per candidate.
 
-    Each Spark task runs ``decompose(G_{A∪{e}})`` for its batch and
-    returns the candidate's trussness gain against ``st``, the
-    decomposition of ``G_A``.
+    Each candidate's gain is ``TG(A∪{e})`` by a fresh decomposition,
+    against ``st``, the decomposition of ``G_A``.
     """
-    parts = max(1, min(spark.sparkContext.defaultParallelism * 4, len(cand)))
-    ids = spark.createDataFrame(pd.DataFrame({"eid": cand})).repartition(parts)
-
-    def kernel(batches):
-        for pdf in batches:
-            rows = []
-            for e in pdf["eid"]:
-                e = int(e)
-                rows.append((e, trussness_gain(g, st, anchors | {e})))
-            yield pd.DataFrame(rows, columns=["eid", "gain"])
-
-    res = ids.mapInPandas(kernel, schema="eid long, gain long").toPandas()
-    return {int(r.eid): int(r.gain) for r in res.itertuples(index=False)}
+    gains = fan_out(
+        spark, cand, lambda e: trussness_gain(g, st, anchors | {e}), spark_threshold
+    )
+    return dict(zip(cand, gains))
 
 
 def _pick_best(gains: dict[int, int]) -> tuple[int, int]:
@@ -155,14 +115,16 @@ def run_greedy(
     g: LocalGraph,
     b: int,
     method: str = "gas",
-    spark_threshold: int = 512,
+    spark_threshold: int | None = None,
     track_tree: bool = False,
 ) -> GreedyResult:
     """Run ``b`` rounds of greedy anchoring with the given method.
 
     ``method`` in ``{"base", "base+", "gas"}``. ``spark_threshold`` is
-    the candidate count above which evaluation fans out to Spark;
-    pass 0 to force the distributed path (tests do). With ``spark``
+    passed to :func:`~repro.fanout.fan_out`: ``None`` (default) lets it
+    choose driver or Spark per round from a driver-side probe; a count
+    ``n`` evaluates rounds of fewer than ``n`` candidates on the driver
+    and the others on Spark (0 forces Spark; tests do). With ``spark``
     ``None`` every evaluation runs on the driver. ``track_tree``
     additionally rebuilds the truss component tree per round and logs
     the FR/PR/NR reuse classes (costs one tree build per round).
@@ -186,13 +148,8 @@ def run_greedy(
         if not cand:
             break
         if method == "base":
-            gains = (
-                _eval_gain_by_decomp_spark(spark, g, st, frozenset(anchors), cand)
-                if spark is not None and len(cand) >= spark_threshold
-                else {
-                    e: len(get_followers_by_decomp(g, st, frozenset(anchors), e))
-                    for e in cand
-                }
+            gains = _eval_gains_by_decomp(
+                spark, g, st, frozenset(anchors), cand, spark_threshold
             )
             evaluated, reused = len(cand), 0
         else:
@@ -202,9 +159,9 @@ def run_greedy(
                 stale = cand
                 cache.clear()
             fresh = (
-                _eval_followers_spark(spark, g, st, stale)
-                if spark is not None and len(stale) >= spark_threshold
-                else _eval_followers_local(g, st, stale)
+                _eval_followers_local(g, st, stale)
+                if spark is None
+                else _eval_followers_spark(spark, g, st, stale, spark_threshold)
             )
             cache.update(fresh)
             gains = {e: cache[e].gain for e in cand}

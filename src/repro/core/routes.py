@@ -8,11 +8,13 @@ average over all edges; the Tur baseline samples anchors from the top
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.followers import upward_candidates
+from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState
 
 
@@ -23,29 +25,14 @@ def route_size(g: LocalGraph, st: TrussState, x: int) -> int:
 
 
 def route_sizes_spark(
-    spark: SparkSession, g: LocalGraph, st: TrussState, parallelism: int | None = None
+    spark: SparkSession | None, g: LocalGraph, st: TrussState
 ) -> np.ndarray:
-    """Upward-route size of every edge, computed as a Spark fan-out.
+    """Upward-route size of every edge, fanned out by :func:`fan_out`.
 
-    The graph and decomposition state ship to executors in the task
-    closure (they are small relative to the per-edge traversal work);
-    each task runs the local route kernel over its batch of edge ids.
+    Runs on the driver when ``spark`` is ``None`` or the route kernel is
+    too cheap for a Spark job to pay.
     """
-    m = g.m
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
-    parts = parallelism or max(1, min(spark.sparkContext.defaultParallelism * 2, m // 64 + 1))
-    ids = spark.createDataFrame(pd.DataFrame({"eid": np.arange(m)})).repartition(parts)
-
-    def kernel(batches):
-        for pdf in batches:
-            out = [route_size(g, st, int(e)) for e in pdf["eid"]]
-            yield pd.DataFrame({"eid": pdf["eid"], "size": out})
-
-    res = ids.mapInPandas(kernel, schema="eid long, size long").toPandas()
-    sizes = np.zeros(m, dtype=np.int64)
-    sizes[res["eid"].to_numpy()] = res["size"].to_numpy()
-    return sizes
+    return np.array(fan_out(spark, range(g.m), partial(route_size, g, st)), dtype=np.int64)
 
 
 def route_stats(sizes: np.ndarray) -> dict[str, float]:

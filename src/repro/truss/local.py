@@ -140,14 +140,16 @@ class LocalGraph:
     def tri(self) -> list[list[tuple[int, int]]]:
         """Per-edge triangle partner pairs: ``tri[e]`` lists ``(e1, e2)``.
 
-        Built from the CSR arrays on first use in each process. Every
-        pair refers to one shared ``int`` object per edge id.
+        Built from the CSR arrays on first use in each process, one
+        edge's slice at a time, so no whole-graph intermediate list is
+        held. Every pair refers to one shared ``int`` object per edge id.
         """
         ids = list(range(self.m))
-        flat = self.tri_pe.ravel().tolist()
-        pairs = [(ids[p], ids[q]) for p, q in zip(flat[0::2], flat[1::2])]
-        ptr = self.tri_ptr.tolist()
-        return [pairs[ptr[i]:ptr[i + 1]] for i in range(self.m)]
+        pe, ptr = self.tri_pe, self.tri_ptr.tolist()
+        return [
+            [(ids[p], ids[q]) for p, q in pe[ptr[i]:ptr[i + 1]].tolist()]
+            for i in range(self.m)
+        ]
 
     @cached_property
     def adj(self) -> dict[int, dict[int, int]]:

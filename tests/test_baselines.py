@@ -1,5 +1,6 @@
 """Rand / Sup / Tur random baselines and the AKT vertex baseline."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.baselines.akt import (
@@ -60,6 +61,29 @@ def test_random_spark_matches_serial(spark, graph):
     serial = random_baseline(None, g, st, 3, np.arange(g.m), trials=12, seed=3)
     dist = random_baseline(spark, g, st, 3, np.arange(g.m), trials=12, seed=3, spark_threshold=0)
     assert serial == dist
+
+
+def _path_graph(m: int) -> pd.DataFrame:
+    return pd.DataFrame({"src": range(m), "dst": range(1, m + 1)})
+
+
+@pytest.mark.parametrize(
+    "pdf,b,trials,seed",
+    [(_path_graph(40), 3, 16, 0)]
+    + [
+        (community_graph(n=40, n_cliques=12, n_noise=10, drop_frac=0.1, seed=1), 1, 12, s)
+        for s in range(5)
+    ],
+    ids=["path40"] + [f"comm1-seed{s}" for s in range(5)],
+)
+def test_random_spark_breaks_ties_like_driver(spark, pdf, b, trials, seed):
+    """Tied best gains go to the lowest trial on both paths."""
+    g = LocalGraph(pdf)
+    st = decompose(g)
+    pool = np.arange(g.m)
+    serial = random_baseline(None, g, st, b, pool, trials=trials, seed=seed)
+    dist = random_baseline(spark, g, st, b, pool, trials=trials, seed=seed, spark_threshold=0)
+    assert dist == serial
 
 
 def test_greedy_beats_random_baselines(graph):

@@ -79,7 +79,8 @@ def test_negative_budget_raises():
 
 @pytest.mark.parametrize("method", ["base", "gas"])
 def test_no_spark_runs_on_driver_above_default_threshold(method):
-    # m = 581 is above the default spark_threshold of 512 candidates.
+    # m = 581 candidates, more than a fixed fan-out threshold of 512 would
+    # keep on the driver; with spark=None every round must still run there.
     g = LocalGraph(
         community_graph(n=200, n_cliques=70, clique_max=9, n_noise=60, drop_frac=0.1, seed=0)
     )

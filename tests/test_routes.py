@@ -27,6 +27,15 @@ def test_route_sizes_spark_matches_serial(spark, seed):
     assert (dist == serial).all()
 
 
+def test_route_sizes_without_spark_run_on_driver():
+    g = LocalGraph(
+        community_graph(n=40, n_cliques=12, n_noise=10, drop_frac=0.1, seed=0)
+    )
+    st = decompose(g)
+    serial = np.array([route_size(g, st, x) for x in range(g.m)])
+    assert (route_sizes_spark(None, g, st) == serial).all()
+
+
 def test_route_stats_fields():
     sizes = np.array([0, 2, 4, 10])
     s = route_stats(sizes)
