@@ -21,13 +21,9 @@ candidate is evaluated:
 
 Candidate evaluation is the hot loop and is *embarrassingly parallel
 across candidates*, so it goes through :func:`repro.fanout.fan_out`:
-the driver evaluates candidates first, and the rest ship to one Spark
-task per core (graph and decomposition state in the closure) only when
-the projected driver time beats the fixed cost of a Spark job. GAS's
-later rounds re-evaluate only stale candidates and stay on the driver;
-on the facebook stand-in even round 1 (about 1 s of follower work)
-stays there in a fresh session, while BASE's per-candidate
-decompositions ship.
+on the driver by default, or, given a ``spark_threshold`` that a
+round's candidate count reaches, as one Spark task per core (graph and
+decomposition state in the closure).
 """
 from __future__ import annotations
 
@@ -40,7 +36,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.followers import FollowerResult, get_followers
 from repro.core.tree import build_tree, classify_reuse, expired_nodes, node_signature
-from repro.fanout import fan_out
+from repro.fanout import fan_out, ships
 from repro.truss.local import LocalGraph, TrussState, decompose, trussness_gain
 
 
@@ -75,14 +71,10 @@ def _eval_followers_local(
 
 
 def _eval_followers_spark(
-    spark: SparkSession,
-    g: LocalGraph,
-    st: TrussState,
-    cand: list[int],
-    spark_threshold: int | None = None,
+    spark: SparkSession, g: LocalGraph, st: TrussState, cand: list[int]
 ) -> dict[int, FollowerResult]:
-    """The follower kernel over ``cand``, fanned out by :func:`fan_out`."""
-    return dict(zip(cand, fan_out(spark, cand, partial(get_followers, g, st), spark_threshold)))
+    """The follower kernel over ``cand`` as one Spark fan-out job."""
+    return dict(zip(cand, fan_out(spark, cand, partial(get_followers, g, st), spark_threshold=0)))
 
 
 def _eval_gains_by_decomp(
@@ -121,13 +113,13 @@ def run_greedy(
     """Run ``b`` rounds of greedy anchoring with the given method.
 
     ``method`` in ``{"base", "base+", "gas"}``. ``spark_threshold`` is
-    passed to :func:`~repro.fanout.fan_out`: ``None`` (default) lets it
-    choose driver or Spark per round from a driver-side probe; a count
-    ``n`` evaluates rounds of fewer than ``n`` candidates on the driver
-    and the others on Spark (0 forces Spark; tests do). With ``spark``
-    ``None`` every evaluation runs on the driver. ``track_tree``
-    additionally rebuilds the truss component tree per round and logs
-    the FR/PR/NR reuse classes (costs one tree build per round).
+    passed to :func:`~repro.fanout.fan_out`: ``None`` (default) keeps
+    every round on the driver; a count ``n`` evaluates rounds of fewer
+    than ``n`` candidates on the driver and the others on Spark (0
+    forces Spark; tests do). With ``spark`` ``None`` every evaluation
+    runs on the driver. ``track_tree`` additionally rebuilds the truss
+    component tree per round and logs the FR/PR/NR reuse classes (costs
+    one tree build per round).
     """
     if method not in {"base", "base+", "gas"}:
         raise ValueError(f"unknown method {method!r}")
@@ -159,9 +151,9 @@ def run_greedy(
                 stale = cand
                 cache.clear()
             fresh = (
-                _eval_followers_local(g, st, stale)
-                if spark is None
-                else _eval_followers_spark(spark, g, st, stale, spark_threshold)
+                _eval_followers_spark(spark, g, st, stale)
+                if ships(spark, len(stale), spark_threshold)
+                else _eval_followers_local(g, st, stale)
             )
             cache.update(fresh)
             gains = {e: cache[e].gain for e in cand}

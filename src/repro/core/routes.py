@@ -25,14 +25,20 @@ def route_size(g: LocalGraph, st: TrussState, x: int) -> int:
 
 
 def route_sizes_spark(
-    spark: SparkSession | None, g: LocalGraph, st: TrussState
+    spark: SparkSession | None,
+    g: LocalGraph,
+    st: TrussState,
+    spark_threshold: int | None = None,
 ) -> np.ndarray:
     """Upward-route size of every edge, fanned out by :func:`fan_out`.
 
-    Runs on the driver when ``spark`` is ``None`` or the route kernel is
-    too cheap for a Spark job to pay.
+    ``spark_threshold`` is passed to :func:`~repro.fanout.fan_out`; by
+    default, and when ``spark`` is ``None``, it runs on the driver.
     """
-    return np.array(fan_out(spark, range(g.m), partial(route_size, g, st)), dtype=np.int64)
+    return np.array(
+        fan_out(spark, range(g.m), partial(route_size, g, st), spark_threshold),
+        dtype=np.int64,
+    )
 
 
 def route_stats(sizes: np.ndarray) -> dict[str, float]:

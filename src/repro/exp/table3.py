@@ -69,7 +69,10 @@ def run_dataset(
 
     if with_base:
         t0 = time.perf_counter()
-        ba = run_greedy(spark, g, b, "base")
+        # A BASE candidate is a whole decomposition, so its rounds pay for
+        # a Spark job: college at b=20 took 21-24 s shipped against 43 s
+        # on the driver (local[4], 4-core VM).
+        ba = run_greedy(spark, g, b, "base", spark_threshold=0)
         row["time_base"] = time.perf_counter() - t0
         assert ba.total_gain == gas.total_gain
     else:

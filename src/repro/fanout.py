@@ -1,4 +1,4 @@
-"""One fan-out helper for every per-item kernel: driver first, Spark when it pays.
+"""One fan-out helper for every per-item kernel: the driver unless told to ship.
 
 Candidate evaluation in every algorithm (GAS / BASE+ followers, BASE
 decompositions, route sizes, random trials, AKT objectives, exact
@@ -6,21 +6,15 @@ combinations) is a list of independent items and one pure function.
 :func:`fan_out` returns ``[fn(x) for x in items]``, in input order, and
 decides where the work runs.
 
-A Spark job has a fixed cost: scheduling, shipping the closure (graph
-and decomposition state), starting the tasks and decoding the results.
-So by default the helper first evaluates items on the driver for
-:data:`PROBE_S`, projects the driver time of the rest from the probe,
-and ships the rest only if ``remaining * (1 - 1/cores)`` -- the time the
-other cores would save -- exceeds that cost. Probe results are kept.
-
-The cost constants were measured on a 4-core VM with ``local[4]``
-(Spark 4.1.2, Python 3.11). An empty 4-task RDD job took 0.28-0.5 s; a
-real one -- all-edge followers on the facebook stand-in (434 KiB
-closure, 1.6 MB of results) or route sizes on google -- took 0.35-0.55 s
-more than a quarter of its driver time, hence :data:`JOB_S`. The first
-RDD job of a SparkContext took about 2 s more (:data:`START_S`): Spark
-starts its RDD Python workers then, separately from the DataFrame ones,
-and each imports the kernel modules.
+By default the work runs on the driver. A Spark job has a fixed cost
+(scheduling, shipping the closure, starting the tasks, decoding the
+results) that at the graph sizes this repository runs eats the saving
+of the other cores: measured on a 4-core VM with ``local[4]`` (Spark
+4.1.2, Python 3.11), a job cost 0.35-0.55 s beyond a quarter of its
+driver time, and the first RDD job of a SparkContext about 2 s more,
+because Spark starts its RDD Python workers then and each imports the
+kernel modules. A caller that knows its work pays for that passes a
+``spark_threshold``.
 
 The Spark side is one RDD job with one task per core. Each task gets a
 strided chunk ``items[i::n]``, which balances skewed per-item costs
@@ -30,7 +24,6 @@ Python objects, so there is no shuffle and no DataFrame encoding.
 """
 from __future__ import annotations
 
-import time
 from typing import Callable, Iterable, TypeVar
 
 from pyspark.sql import SparkSession
@@ -38,34 +31,14 @@ from pyspark.sql import SparkSession
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Driver seconds spent probing before the driver-or-Spark decision.
-PROBE_S = 0.05
-#: Wall cost of a fan-out job beyond its share of the work, in seconds.
-JOB_S = 0.5
-#: Extra wall cost of the first fan-out job of a SparkContext, in seconds.
-START_S = 2.0
 
-#: Application ids of the SparkContexts that have run a fan-out job. Their
-#: RDD Python workers are up; they live as long as the context does.
-_started: set[str] = set()
+def ships(spark: SparkSession | None, n: int, spark_threshold: int | None) -> bool:
+    """Whether :func:`fan_out` sends ``n`` items to Spark.
 
-
-def _spread(n: int, step: int) -> list[int]:
-    """Indices ``0..n-1`` in strided order, so a probed prefix spans the list."""
-    return [i for r in range(step) for i in range(r, n, step)]
-
-
-def _on_spark(spark: SparkSession, items: list, fn: Callable) -> list:
-    """``[fn(x) for x in items]`` as one RDD job with one strided chunk per core."""
-    sc = spark.sparkContext
-    n = min(sc.defaultParallelism, len(items))
-    chunks = [items[i::n] for i in range(n)]
-    parts = sc.parallelize(chunks, n).map(lambda chunk: [fn(x) for x in chunk]).collect()
-    _started.add(sc.applicationId)
-    out = [None] * len(items)
-    for i, part in enumerate(parts):
-        out[i::n] = part
-    return out
+    Only with a session and a given threshold that ``n`` reaches (``0``
+    forces Spark); ``spark_threshold=None`` means the driver.
+    """
+    return spark is not None and spark_threshold is not None and n > 0 and n >= spark_threshold
 
 
 def fan_out(
@@ -76,42 +49,17 @@ def fan_out(
 ) -> list[R]:
     """``[fn(x) for x in items]``, evaluated on the driver or over Spark.
 
-    * ``spark is None``, or fewer items than ``spark_threshold``: driver.
-    * ``spark_threshold`` given and reached (``0`` forces it): Spark.
-    * ``spark_threshold is None`` (default): probe on the driver, then
-      ship the rest only when the projected saving beats the job cost.
-
-    ``fn`` must be picklable with its closure when Spark may run it.
+    Spark runs it when :func:`ships` says so; ``fn`` must then be
+    picklable with its closure.
     """
     items = list(items)
-    if not items or spark is None or (
-        spark_threshold is not None and len(items) < spark_threshold
-    ):
+    if not ships(spark, len(items), spark_threshold):
         return [fn(x) for x in items]
-    if spark_threshold is not None:
-        return _on_spark(spark, items, fn)
-
     sc = spark.sparkContext
-    job_s = JOB_S if sc.applicationId in _started else JOB_S + START_S
-    order = _spread(len(items), max(1, len(items) // 64))
+    n = min(sc.defaultParallelism, len(items))
+    chunks = [items[i::n] for i in range(n)]
+    parts = sc.parallelize(chunks, n).map(lambda chunk: [fn(x) for x in chunk]).collect()
     out: list = [None] * len(items)
-    # The first item pays for whatever the kernel builds lazily (the
-    # graph's triangle view, list views of the state), so it is not timed.
-    out[order[0]] = fn(items[order[0]])
-    done, t0 = 1, time.perf_counter()
-    while done < len(order):
-        out[order[done]] = fn(items[order[done]])
-        done += 1
-        if time.perf_counter() - t0 >= PROBE_S:
-            break
-    rest = sorted(order[done:])
-    if not rest:
-        return out
-    remaining = (time.perf_counter() - t0) / (done - 1) * len(rest)
-    if remaining * (1 - 1 / sc.defaultParallelism) > job_s:
-        results = _on_spark(spark, [items[i] for i in rest], fn)
-    else:
-        results = [fn(items[i]) for i in rest]
-    for i, r in zip(rest, results):
-        out[i] = r
+    for i, part in enumerate(parts):
+        out[i::n] = part
     return out

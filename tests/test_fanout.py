@@ -3,13 +3,12 @@ from functools import partial
 
 import pytest
 
-import repro.fanout as fanout
 from repro.core.followers import get_followers
 from repro.fanout import fan_out
 from repro.graphs.gen import community_graph
 from repro.truss.local import LocalGraph, decompose
 
-PATHS = [None, 0, 10**9]  # default (probe), forced Spark, forced driver
+PATHS = [None, 0, 10**9]  # default (driver), forced Spark, forced driver
 
 
 def _jobs_run(spark, label: str, call):
@@ -53,22 +52,10 @@ def test_followers_identical_and_ordered_on_every_path(spark):
         assert fan_out(spark, items, fn, threshold) == want
 
 
-def test_default_stays_on_driver_when_a_job_cannot_pay(spark):
-    out, jobs = _jobs_run(spark, "fanout-cheap", lambda: fan_out(spark, range(500), _square))
+def test_default_runs_on_driver(spark):
+    out, jobs = _jobs_run(spark, "fanout-default", lambda: fan_out(spark, range(500), _square))
     assert out == [x * x for x in range(500)]
     assert jobs == 0
-
-
-def test_default_ships_the_rest_after_the_probe(spark, monkeypatch):
-    # A zero job cost makes any projected saving worth a job; the probe
-    # keeps its results and the shipped rest is merged back in order.
-    monkeypatch.setattr(fanout, "JOB_S", 0.0)
-    monkeypatch.setattr(fanout, "START_S", 0.0)
-    monkeypatch.setattr(fanout, "PROBE_S", 0.0)
-    items = list(range(200))[::-1]
-    out, jobs = _jobs_run(spark, "fanout-ship", lambda: fan_out(spark, items, _square))
-    assert out == [x * x for x in items]
-    assert jobs == 1
 
 
 def test_forced_spark_runs_one_job(spark):
@@ -77,4 +64,3 @@ def test_forced_spark_runs_one_job(spark):
     )
     assert out == [x * x for x in range(50)]
     assert jobs == 1
-    assert spark.sparkContext.applicationId in fanout._started

@@ -22,7 +22,7 @@ def test_route_sizes_spark_matches_serial(spark, seed):
         community_graph(n=40, n_cliques=12, n_noise=10, drop_frac=0.1, seed=seed)
     )
     st = decompose(g)
-    dist = route_sizes_spark(spark, g, st)
+    dist = route_sizes_spark(spark, g, st, spark_threshold=0)
     serial = np.array([route_size(g, st, x) for x in range(g.m)])
     assert (dist == serial).all()
 
