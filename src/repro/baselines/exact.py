@@ -11,9 +11,8 @@ from itertools import combinations
 
 from pyspark.sql import SparkSession
 
-from repro.baselines.random_sets import evaluate_anchor_set
 from repro.fanout import fan_out
-from repro.truss.local import LocalGraph, TrussState
+from repro.truss.local import LocalGraph, TrussState, trussness_gain
 
 
 def exact_best(
@@ -26,12 +25,12 @@ def exact_best(
     """Optimal ``b``-edge anchor set by brute force.
 
     Returns ``(gain, anchor_ids)`` with deterministic lexicographic
-    tie-breaking.
+    tie-breaking. A budget above ``m`` is capped at ``m``.
     """
-    combos = list(combinations(range(g.m), b))
+    combos = list(combinations(range(g.m), min(b, g.m)))
 
     def gain_of(c: tuple[int, ...]) -> int:
-        return evaluate_anchor_set(g, st, frozenset(c))
+        return trussness_gain(g, st, frozenset(c))
 
     scored = zip(fan_out(spark, combos, gain_of, spark_threshold), combos)
     best = max(scored, key=lambda t: (t[0], [-x for x in t[1]]))

@@ -19,7 +19,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.fanout import fan_out
-from repro.truss.local import LocalGraph, TrussState, decompose
+from repro.truss.local import LocalGraph, TrussState, trussness_gain
 
 
 def top_frac_pool(scores: np.ndarray, frac: float = 0.2) -> np.ndarray:
@@ -27,14 +27,6 @@ def top_frac_pool(scores: np.ndarray, frac: float = 0.2) -> np.ndarray:
     m = len(scores)
     k = max(1, int(m * frac))
     return np.argsort(-scores, kind="stable")[:k]
-
-
-def evaluate_anchor_set(g: LocalGraph, st: TrussState, anchors: frozenset[int]) -> int:
-    """``TG(A, G)`` of an arbitrary anchor set by full decomposition."""
-    after = decompose(g, anchors)
-    keep = np.ones(g.m, dtype=bool)
-    keep[list(anchors)] = False
-    return int((after.t[keep] - st.t[keep]).sum())
 
 
 def random_baseline(
@@ -53,14 +45,17 @@ def random_baseline(
     trial ``i`` uses rng ``seed * 10^6 + i`` so the distributed and
     serial paths draw identical sets, and ties go to the lowest trial on
     both. ``spark_threshold`` is passed to :func:`~repro.fanout.fan_out`.
+    ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     b_eff = min(b, len(pool))
 
     def run_trial(i: int) -> tuple[int, list[int]]:
         rng = np.random.default_rng(seed * 1_000_000 + i)
         pick = rng.choice(pool, size=b_eff, replace=False)
         ids = [int(v) for v in pick]
-        return evaluate_anchor_set(g, st, frozenset(ids)), ids
+        return trussness_gain(g, st, frozenset(ids)), ids
 
     results = fan_out(spark, range(trials), run_trial, spark_threshold)
     best_gain, best_ids = max(results, key=lambda t: t[0])

@@ -37,7 +37,7 @@ from pyspark.sql import SparkSession
 from repro.core.followers import FollowerResult, get_followers
 from repro.core.tree import build_tree, classify_reuse, expired_nodes, node_signature
 from repro.fanout import fan_out, ships
-from repro.truss.local import LocalGraph, TrussState, decompose, trussness_gain
+from repro.truss.local import LocalGraph, TrussState, decompose, gain_between, trussness_gain
 
 
 @dataclass
@@ -127,8 +127,7 @@ def run_greedy(
         raise ValueError(f"budget b must be >= 0, got {b}")
     t_start = time.perf_counter()
     anchors: set[int] = set()
-    st = decompose(g, frozenset())
-    st0_t = st.t.copy()
+    st0 = st = decompose(g, frozenset())
     cache: dict[int, FollowerResult] = {}
     rounds: list[RoundStats] = []
     tree = build_tree(g, st) if track_tree else None
@@ -193,13 +192,11 @@ def run_greedy(
         )
 
     picked = [r.best for r in rounds]
-    keep = np.ones(g.m, dtype=bool)
-    keep[picked] = False
     return GreedyResult(
         method=method,
         anchors=picked,
         rounds=rounds,
-        total_gain=int((st.t[keep] - st0_t[keep]).sum()),
+        total_gain=gain_between(st0, st),
         seconds=time.perf_counter() - t_start,
         anchor_edges=[g.edge(e) for e in picked],
     )

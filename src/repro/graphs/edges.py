@@ -1,4 +1,4 @@
-"""Edge-list canonicalisation and Spark <-> pandas conversion.
+"""Edge-list canonicalisation.
 
 Every graph in this repo is an unweighted, undirected simple graph
 represented as an edge list with integer vertex ids. The canonical form
@@ -17,8 +17,19 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+
+
+def _vertex_ids(col: pd.Series) -> np.ndarray:
+    """A vertex-id column as int64; ids that are not int64 integers raise."""
+    if col.dtype.kind in "biu":
+        return col.to_numpy(dtype=np.int64)
+    vals = col.to_numpy(dtype=np.float64)
+    bad = ~np.isfinite(vals) | (vals != np.trunc(vals)) | (np.abs(vals) >= 2.0**63)
+    if bad.any():
+        raise ValueError(
+            f"vertex ids in {col.name!r} must be int64 integers, got {vals[bad][:5].tolist()}"
+        )
+    return vals.astype(np.int64)
 
 
 def canonical_edges(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -26,33 +37,14 @@ def canonical_edges(pdf: pd.DataFrame) -> pd.DataFrame:
 
     Accepts any frame with ``src``/``dst`` columns; self loops are
     dropped and both orientations of the same edge collapse to one row.
+    Vertex ids must be integers: a non-finite, fractional or out-of-int64
+    id raises ``ValueError`` instead of being truncated.
     """
-    src = pdf["src"].to_numpy(dtype=np.int64)
-    dst = pdf["dst"].to_numpy(dtype=np.int64)
+    src = _vertex_ids(pdf["src"])
+    dst = _vertex_ids(pdf["dst"])
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     keep = lo != hi
     out = pd.DataFrame({"src": lo[keep], "dst": hi[keep]})
     out = out.drop_duplicates().sort_values(["src", "dst"]).reset_index(drop=True)
     return out
-
-
-def spark_edges(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """Lift a canonical pandas edge frame into a Spark DataFrame."""
-    return spark.createDataFrame(canonical_edges(pdf))
-
-
-def canonicalize_spark(edges: DataFrame) -> DataFrame:
-    """Canonicalise a Spark edge DataFrame (src<dst, distinct, no loops)."""
-    return (
-        edges.select(
-            F.least("src", "dst").alias("src"), F.greatest("src", "dst").alias("dst")
-        )
-        .where(F.col("src") != F.col("dst"))
-        .distinct()
-    )
-
-
-def edge_key(u: int, v: int) -> tuple[int, int]:
-    """The canonical (min, max) key of an undirected edge."""
-    return (u, v) if u < v else (v, u)

@@ -1,13 +1,13 @@
 """Local (driver / executor-side) truss kernel.
 
 The ATR algorithms evaluate thousands of candidate anchors per greedy
-round. The bulk structure (triangle enumeration, decomposition of the
-whole graph) is also implemented distributedly in
-:mod:`repro.truss.decompose`; this module is the *fast per-task kernel*
-that those distributed stages fan out over: a graph with stable edge
+round, each by a truss decomposition or a follower search. This module
+is the one truss substrate they all run on: a graph with stable edge
 ids, its triangle incidence, and a synchronous-peeling truss
-decomposition that supports anchored edges (``sup = +inf``) and reports
-the layer index ``l(e)`` that the paper's upward-route machinery needs.
+decomposition (Wang & Cheng, PVLDB 2012) that supports anchored edges
+(``sup = +inf``) and reports the layer index ``l(e)`` that the paper's
+upward-route machinery needs. The same code runs on the driver and,
+when :func:`repro.fanout.fan_out` ships work, inside Spark tasks.
 
 **Triangle-incidence substrate.** :class:`LocalGraph` enumerates every
 triangle once, at construction, and stores each edge's partner pairs
@@ -24,10 +24,10 @@ adjacency dicts per call: it is the path of the test oracle
 :mod:`repro.truss.reference`, which stays independent of the substrate
 it checks.
 
-The synchronous-batch semantics here (all edges with ``sup <= k-2``
-removed together form one *layer*) match the distributed peeling in
-``repro.truss.decompose`` exactly — cross-checked in tests — so both
-implementations agree on ``t(e)`` *and* ``l(e)``.
+The synchronous-batch semantics (all edges with ``sup <= k-2`` removed
+together form one *layer*) are checked in tests against the
+definition-level peel :func:`repro.truss.reference.layers_naive`, and
+the triangles and support against a DuckDB SQL enumeration.
 """
 from __future__ import annotations
 
@@ -51,9 +51,17 @@ def _rows(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mask(m: int, ids) -> np.ndarray:
-    """Boolean mask of length ``m``, true at the edge ids ``ids``."""
+    """Boolean mask of length ``m``, true at the edge ids ``ids``.
+
+    Raises ``ValueError`` for an id outside ``[0, m)``: numpy would
+    wrap a negative id onto another edge and fail on a large one.
+    """
+    ids = list(ids)
+    bad = sorted(i for i in ids if not 0 <= i < m)
+    if bad:
+        raise ValueError(f"edge ids must lie in [0, {m}), got {bad}")
     out = np.zeros(m, dtype=bool)
-    out[list(ids)] = True
+    out[ids] = True
     return out
 
 
@@ -179,13 +187,6 @@ class LocalGraph:
         """Edge id for an (unordered) vertex pair."""
         return self.eid[(u, v) if u < v else (v, u)]
 
-    def common_neighbors(self, u: int, v: int) -> list[int]:
-        """Vertices adjacent to both ``u`` and ``v`` (triangle apexes)."""
-        a, b = self.adj.get(u, {}), self.adj.get(v, {})
-        if len(a) > len(b):
-            a, b = b, a
-        return [w for w in a if w in b]
-
     def triangles_of(self, i: int):
         """Yield ``(w, e1, e2)`` for each triangle containing edge ``i``.
 
@@ -206,10 +207,6 @@ class LocalGraph:
     def support(self) -> np.ndarray:
         """Initial support ``sup(e, G)`` for every edge, as an array."""
         return np.diff(self.tri_ptr)
-
-    def to_pandas(self) -> pd.DataFrame:
-        """The canonical edge frame (columns ``src``, ``dst``)."""
-        return pd.DataFrame({"src": self.edges[:, 0], "dst": self.edges[:, 1]})
 
 
 @dataclass
@@ -305,7 +302,13 @@ def trussness_gain(g: LocalGraph, base: TrussState, anchors: frozenset[int] | se
     contain anchors (for incremental gains inside the greedy loop);
     edges anchored in either state are excluded from the sum.
     """
-    anchors = frozenset(anchors) | base.anchors
-    after = decompose(g, anchors)
-    keep = ~_mask(g.m, anchors)
+    return gain_between(base, decompose(g, frozenset(anchors) | base.anchors))
+
+
+def gain_between(base: TrussState, after: TrussState) -> int:
+    """Trussness increase from ``base`` to ``after`` over edges ``after`` leaves free.
+
+    ``after`` decomposes the same graph with a superset of ``base``'s anchors.
+    """
+    keep = ~_mask(len(after.t), after.anchors)
     return int((after.t[keep] - base.t[keep]).sum())

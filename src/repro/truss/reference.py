@@ -2,14 +2,13 @@
 
 Deliberately written from the *definitions* (Definition 2/3) rather
 than the peeling kernel, so that :func:`repro.truss.local.decompose`
-and the distributed decomposition are checked against an independent
-code path: ``k``-trusses are computed by fixpoint filtering for each
-``k`` separately, and trussness is the largest ``k`` whose truss
-contains the edge.
+is checked against an independent code path that reads triangles
+through :meth:`~repro.truss.local.LocalGraph.triangles_of`, not the CSR
+substrate: ``k``-trusses are computed by fixpoint filtering for each
+``k`` separately, trussness is the largest ``k`` whose truss contains
+the edge, and layers come from a literal synchronous peel.
 """
 from __future__ import annotations
-
-import pandas as pd
 
 from repro.truss.local import INF_T, LocalGraph
 
@@ -59,6 +58,34 @@ def trussness_naive(
     return t
 
 
+def layers_naive(g: LocalGraph, anchors: frozenset[int] = frozenset()) -> dict[int, int]:
+    """Layer ``l(e)`` of every edge by a synchronous peel; anchors get 0.
+
+    For each ``k`` in turn, every round removes *all* live non-anchor
+    edges with at most ``k-2`` triangles among live edges, counted
+    before any of them is removed; the round index within ``k`` is the
+    layer of the edges it removes.
+    """
+    live = set(range(g.m))
+
+    def live_support(e: int) -> int:
+        return sum(1 for _w, e1, e2 in g.triangles_of(e) if e1 in live and e2 in live)
+
+    layer = dict.fromkeys(anchors, 0)
+    k = 2
+    while live - anchors:
+        rnd = 0
+        while True:
+            batch = {e for e in live - anchors if live_support(e) <= k - 2}
+            if not batch:
+                break
+            rnd += 1
+            layer.update(dict.fromkeys(batch, rnd))
+            live -= batch
+        k += 1
+    return layer
+
+
 def followers_naive(
     g: LocalGraph, x: int, anchors: frozenset[int] = frozenset()
 ) -> set[int]:
@@ -70,12 +97,3 @@ def followers_naive(
         for e in range(g.m)
         if e != x and e not in anchors and after[e] > before[e]
     }
-
-
-def support_naive(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Support of every edge of a canonical edge frame (pure pandas)."""
-    g = LocalGraph(pdf)
-    sup = g.support()
-    out = g.to_pandas()
-    out["sup"] = sup
-    return out

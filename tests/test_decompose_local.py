@@ -5,7 +5,7 @@ import pytest
 from repro.graphs.gen import clique, community_graph, random_graph, union
 from repro.graphs.toys import truss_ladder, two_triangles
 from repro.truss.local import INF_T, LocalGraph, decompose, trussness_gain
-from repro.truss.reference import ktruss_edge_set, trussness_naive
+from repro.truss.reference import ktruss_edge_set, layers_naive, trussness_naive
 
 
 def _cases():
@@ -31,8 +31,10 @@ def test_trussness_matches_naive(label, pdf, anchors):
     g = LocalGraph(pdf)
     st = decompose(g, anchors)
     ref = trussness_naive(g, anchors)
+    ref_layer = layers_naive(g, anchors)
     for e in range(g.m):
         assert int(st.t[e]) == ref[e], (label, g.edge(e))
+        assert int(st.layer[e]) == ref_layer[e], (label, g.edge(e))
 
 
 @pytest.mark.parametrize("label,pdf,anchors", CASES[:8], ids=[c[0] for c in CASES[:8]])
@@ -122,3 +124,12 @@ def test_empty_and_tiny_graphs():
     g = LocalGraph(pd.DataFrame({"src": [0], "dst": [1]}))
     st = decompose(g)
     assert int(st.t[0]) == 2 and int(st.layer[0]) == 1
+
+
+@pytest.mark.parametrize("bad", [-1, 22])
+def test_out_of_range_anchor_rejected(bad):
+    """An anchor id outside [0, m) raises instead of wrapping or crashing."""
+    g = LocalGraph(truss_ladder())
+    assert g.m == 22
+    with pytest.raises(ValueError, match=r"\[0, 22\)"):
+        decompose(g, {bad})

@@ -1,12 +1,12 @@
 """Exact enumeration baseline and greedy's optimality gap (paper Exp-2)."""
+import pandas as pd
 import pytest
 
 from repro.baselines.exact import exact_best
-from repro.baselines.random_sets import evaluate_anchor_set
 from repro.core.greedy import run_greedy
 from repro.graphs.gen import community_graph
-from repro.graphs.toys import truss_ladder
-from repro.truss.local import LocalGraph, decompose
+from repro.graphs.toys import truss_ladder, two_triangles
+from repro.truss.local import LocalGraph, decompose, trussness_gain
 
 
 def _small():
@@ -27,10 +27,10 @@ def test_exact_b1_matches_best_single_gain(label, pdf):
     st = decompose(g)
     gain, ids = exact_best(None, g, st, 1)
     best = max(
-        evaluate_anchor_set(g, st, frozenset({x})) for x in range(g.m)
+        trussness_gain(g, st, frozenset({x})) for x in range(g.m)
     )
     assert gain == best
-    assert evaluate_anchor_set(g, st, frozenset(ids)) == gain
+    assert trussness_gain(g, st, frozenset(ids)) == gain
 
 
 @pytest.mark.parametrize("label,pdf", CASES, ids=[c[0] for c in CASES])
@@ -55,6 +55,16 @@ def test_greedy_b2_within_exact(label_pdf=CASES[1]):
     assert greedy.total_gain <= exact_gain
     if exact_gain > 0:
         assert greedy.total_gain >= 0.5 * exact_gain
+
+
+def test_exact_budget_above_m_is_capped():
+    """``b > m`` anchors every edge; an empty graph has gain 0 at any ``b``."""
+    g = LocalGraph(two_triangles())
+    st = decompose(g)
+    every_edge = (0, list(range(g.m)))
+    assert exact_best(None, g, st, g.m + 1) == exact_best(None, g, st, g.m) == every_edge
+    empty = LocalGraph(pd.DataFrame({"src": [], "dst": []}))
+    assert exact_best(None, empty, decompose(empty), 1) == (0, [])
 
 
 def test_exact_spark_matches_serial(spark):

@@ -1,17 +1,18 @@
-"""Distributed triangle/support primitives vs the DuckDB oracle.
+"""The local kernel's triangle incidence and support vs a DuckDB oracle.
 
-The SQL side recomputes triangles and support from the raw edge table,
-so a wrong join orientation or a lost shuffle row in the Spark
-implementation fails the diff — not just "it ran".
+The SQL side recomputes triangles and support from the raw edge table
+by an oriented three-way join, a code path that shares nothing with the
+vectorised CSR enumeration in :class:`repro.truss.local.LocalGraph`, so
+a lost or duplicated triangle fails the diff — not just "it ran".
 """
+import duckdb
+import numpy as np
+import pandas as pd
 import pytest
 
-from repro.graphs.edges import spark_edges
 from repro.graphs.gen import community_graph, random_graph
 from repro.graphs.toys import truss_ladder, two_triangles
-from repro.oracle import assert_equivalent
-from repro.truss.reference import support_naive
-from repro.truss.triangles import support, triangles
+from repro.truss.local import LocalGraph
 
 _TRI_SQL = """
 WITH tri AS (
@@ -46,31 +47,40 @@ def _graphs():
     for seed in range(3):
         yield f"rand{seed}", random_graph(n=30, m=90, seed=seed)
     yield "comm", community_graph(n=50, n_cliques=15, n_noise=20, seed=4)
+    for seed in range(4):
+        yield str(seed), random_graph(n=25, m=70, seed=seed)
 
 
-@pytest.mark.parametrize("label,pdf", list(_graphs()), ids=lambda p: p if isinstance(p, str) else "")
-def test_spark_support_matches_duckdb(spark, label, pdf):
-    edges = spark_edges(spark, pdf)
-    assert_equivalent(support(edges), SUPPORT_SQL, edges=pdf)
+GRAPHS = list(_graphs())
 
 
-@pytest.mark.parametrize("label,pdf", list(_graphs()), ids=lambda p: p if isinstance(p, str) else "")
-def test_spark_triangles_match_duckdb(spark, label, pdf):
-    edges = spark_edges(spark, pdf)
-    assert_equivalent(triangles(edges), TRIANGLES_SQL, edges=pdf)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_local_support_matches_duckdb_counts(seed):
-    """The LocalGraph kernel's support agrees with the SQL oracle."""
-    import duckdb
-
-    pdf = random_graph(n=25, m=70, seed=seed)
-    ref = support_naive(pdf)
+def _duckdb(sql: str, g: LocalGraph) -> pd.DataFrame:
+    """Run ``sql`` over ``g``'s canonical edges, registered as ``edges``."""
     con = duckdb.connect()
-    con.register("edges", pdf)
-    sql = con.execute(SUPPORT_SQL).fetchdf()
-    con.close()
-    merged = ref.merge(sql, on=["src", "dst"], suffixes=("_loc", "_sql"))
-    assert len(merged) == len(pdf)
-    assert (merged["sup_loc"] == merged["sup_sql"]).all()
+    try:
+        con.register("edges", pd.DataFrame(g.edges, columns=["src", "dst"]))
+        return con.execute(sql).fetchdf()
+    finally:
+        con.close()
+
+
+@pytest.mark.parametrize("label,pdf", GRAPHS, ids=[c[0] for c in GRAPHS])
+def test_local_support_matches_duckdb_counts(label, pdf):
+    """``LocalGraph.support()`` agrees with the SQL oracle on every edge."""
+    g = LocalGraph(pdf)
+    sql = _duckdb(SUPPORT_SQL, g).sort_values(["src", "dst"])
+    assert np.array_equal(sql[["src", "dst"]].to_numpy(), g.edges)
+    assert sql["sup"].tolist() == g.support().tolist()
+
+
+@pytest.mark.parametrize("label,pdf", GRAPHS, ids=[c[0] for c in GRAPHS])
+def test_local_triangles_match_duckdb(label, pdf):
+    """The triangles rebuilt from ``tri_ptr``/``tri_pe`` are the SQL set."""
+    g = LocalGraph(pdf)
+    local = set()
+    for e in range(g.m):
+        for e1, e2 in g.tri_pe[g.tri_ptr[e]:g.tri_ptr[e + 1]].tolist():
+            local.add(tuple(sorted({*g.edge(e), *g.edge(e1), *g.edge(e2)})))
+    sql = _duckdb(TRIANGLES_SQL, g)
+    assert len(sql) == len(local) == g.support().sum() // 3
+    assert set(sql.itertuples(index=False, name=None)) == local
