@@ -23,12 +23,14 @@ edges (as in [2]); marginal gains go through
 """
 from __future__ import annotations
 
-from collections import deque
-
+import numpy as np
 from pyspark.sql import SparkSession
 
+from repro.core.followers import _peel_level
 from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState
+
+CAND_CAP = 40  # candidate vertices per greedy round
 
 
 def anchored_ktruss_counts(
@@ -37,47 +39,26 @@ def anchored_ktruss_counts(
     """``(objective, measured_gain)`` of a vertex-anchor set at level ``k``.
 
     Runs the anchored ``k``-truss fixpoint on the subgraph of edges
-    with ``t(e) >= k-1`` (edges below can neither join nor support a
-    ``k``-truss, so the restriction is exact). Protected edges
-    (incident to an anchored vertex) are never peeled.
+    with ``t(e) >= k-1``. This restriction is part of the baseline's
+    definition, not a shortcut: a protected edge (incident to an
+    anchored vertex) below ``k-1`` is left out, although the full
+    anchored ``k``-truss keeps it and it can support frontier edges
+    there, so the full fixpoint can retain more. Edges with
+    ``t(e) >= k`` are in the plain ``k``-truss and never drop, so only
+    the ``(k-1)``-frontier can: its protected edges are held fixed and
+    the rest go through the follower kernel's support check at level
+    ``k-1``.
 
     * ``objective``  — all retained ``(k-1)``-trussness edges
       (AKT's own selection criterion, protection included);
     * ``measured_gain`` — retained ``(k-1)``-trussness edges that are
       *not* protected (the ATR paper's trussness-gain measurement).
     """
-    t, tri, ends = st.t_list, g.tri, g.edges.tolist()
-    live = {e for e in range(g.m) if t[e] >= k - 1}
-
-    def protected(e: int) -> bool:
-        u, v = ends[e]
-        return u in anchored_vertices or v in anchored_vertices
-
-    # Queue-based peel: support within `live` computed once, then
-    # decremented as edges fall — same fixpoint as loop-until-stable
-    # but O(m * deg) instead of quadratic.
-    sup: dict[int, int] = {}
-    for e in live:
-        sup[e] = sum(1 for e1, e2 in tri[e] if e1 in live and e2 in live)
-    queue = deque(e for e in live if sup[e] < k - 2 and not protected(e))
-    queued = set(queue)
-    while queue:
-        e = queue.popleft()
-        queued.discard(e)
-        if e not in live or sup[e] >= k - 2 or protected(e):
-            continue
-        live.discard(e)
-        for e1, e2 in tri[e]:
-            if e1 in live and e2 in live:
-                for p in (e1, e2):
-                    sup[p] -= 1
-                    if sup[p] < k - 2 and not protected(p) and p not in queued:
-                        queue.append(p)
-                        queued.add(p)
-    frontier = [e for e in live if t[e] == k - 1]
-    objective = len(frontier)
-    measured = sum(1 for e in frontier if not protected(e))
-    return objective, measured
+    front = np.flatnonzero(st.t == k - 1)
+    prot = np.isin(g.edges[front], list(anchored_vertices)).any(axis=1)
+    protected = frozenset(front[prot].tolist())
+    kept = len(_peel_level(g, st, k - 1, set(front[~prot].tolist()), protected))
+    return kept + len(protected), kept
 
 
 def anchored_ktruss_gain(
@@ -94,7 +75,6 @@ def akt_greedy(
     k: int,
     b: int,
     spark_threshold: int | None = None,
-    cand_cap: int = 40,
 ) -> tuple[int, list[int]]:
     """Greedy ``b`` anchor vertices for level ``k``.
 
@@ -102,7 +82,7 @@ def akt_greedy(
     ATR-measured (cascade-only) trussness gain of the selected set.
     Returns ``(measured_gain, vertices)``.
 
-    ``cand_cap`` bounds the per-round candidate pool to the vertices
+    :data:`CAND_CAP` bounds the per-round candidate pool to the vertices
     incident to the most ``(k-1)``-trussness edges — the standard
     frontier-degree pruning; vertices touching few frontier edges
     cannot retain many of them.
@@ -114,7 +94,7 @@ def akt_greedy(
             incid[v] = incid.get(v, 0) + 1
     cand_vertices = sorted(
         incid, key=lambda v: (-incid[v], v)
-    )[: max(cand_cap, b)]
+    )[: max(CAND_CAP, b)]
     anchored: set[int] = set()
     for _ in range(b):
         cands = [v for v in cand_vertices if v not in anchored]
@@ -136,8 +116,6 @@ def akt_sweep(
     g: LocalGraph,
     st: TrussState,
     b: int,
-    k_values: list[int] | None = None,
 ) -> dict[int, int]:
-    """AKT measured gain for every ``k`` (default ``3..kmax+1``), Exp-9."""
-    ks = k_values or list(range(3, st.kmax + 2))
-    return {k: akt_greedy(spark, g, st, k, b)[0] for k in ks}
+    """AKT measured gain for every ``k`` in ``3..kmax+1``, Exp-9."""
+    return {k: akt_greedy(spark, g, st, k, b)[0] for k in range(3, st.kmax + 2)}

@@ -33,5 +33,7 @@ def exact_best(
         return trussness_gain(g, st, frozenset(c))
 
     scored = zip(fan_out(spark, combos, gain_of, spark_threshold), combos)
-    best = max(scored, key=lambda t: (t[0], [-x for x in t[1]]))
-    return best[0], list(best[1])
+    # ``combinations`` yields combos in lexicographic order and ``max``
+    # keeps the first maximum, so ties go to the lexicographically least.
+    gain, combo = max(scored, key=lambda t: t[0])
+    return gain, list(combo)

@@ -108,14 +108,15 @@ def upward_candidates(
 
 
 def _peel_level(
-    g: LocalGraph, st: TrussState, x: int, i: int, cand: set[int]
+    g: LocalGraph, st: TrussState, i: int, cand: set[int], fixed: frozenset[int]
 ) -> set[int]:
     """Maximal subset of level-``i`` candidates passing the support check.
 
     An edge survives iff it has ``>= i-1`` effective triangles, where a
-    partner edge counts iff it is the anchor ``x``, an anchored edge,
-    has trussness ``> i``, or is itself a surviving candidate. Peeling
-    to the greatest fixpoint reproduces Algorithm 3's
+    partner edge counts iff it has trussness ``> i`` (anchored edges
+    included), is itself a surviving candidate, or is in ``fixed``
+    (edges held in place, such as the anchor ``x``). Peeling to the
+    greatest fixpoint reproduces Algorithm 3's
     survived/eliminated/Retract outcome exactly.
 
     Each candidate's effective triangles are counted once, against the
@@ -135,8 +136,8 @@ def _peel_level(
         s = 0
         for e1, e2 in tri[e]:
             # Anchored edges have t = INF_T > i.
-            if (e1 == x or t[e1] > i or e1 in survivors) and (
-                e2 == x or t[e2] > i or e2 in survivors
+            if (t[e1] > i or e1 in survivors or e1 in fixed) and (
+                t[e2] > i or e2 in survivors or e2 in fixed
             ):
                 s += 1
         count[e] = s
@@ -146,11 +147,11 @@ def _peel_level(
         e = drop.pop()
         survivors.discard(e)
         for e1, e2 in tri[e]:
-            if e1 in survivors and (e2 == x or t[e2] > i or e2 in survivors):
+            if e1 in survivors and (t[e2] > i or e2 in survivors or e2 in fixed):
                 count[e1] -= 1
                 if count[e1] == need - 1:
                     drop.append(e1)
-            if e2 in survivors and (e1 == x or t[e1] > i or e1 in survivors):
+            if e2 in survivors and (t[e1] > i or e1 in survivors or e1 in fixed):
                 count[e2] -= 1
                 if count[e2] == need - 1:
                     drop.append(e2)
@@ -164,11 +165,12 @@ def get_followers(g: LocalGraph, st: TrussState, x: int) -> FollowerResult:
     anchored) graph; ``x`` must not itself be anchored.
     """
     cands, reads = upward_candidates(g, st, x)
+    fixed = frozenset({x})
     followers: set[int] = set()
     all_cands: set[int] = set()
     for i, cand in cands.items():
         all_cands |= cand
-        followers |= _peel_level(g, st, x, i, cand)
+        followers |= _peel_level(g, st, i, cand, fixed)
     return FollowerResult(
         x=x,
         followers=frozenset(followers),

@@ -160,8 +160,7 @@ def run_greedy(
 
         best, gain = _pick_best(gains)
         anchors.add(best)
-        prev_t, prev_l = st.t.copy(), st.layer.copy()
-        st = decompose(g, frozenset(anchors))
+        prev, st = st, decompose(g, frozenset(anchors))
 
         reuse_classes: dict[str, int] = {}
         if track_tree:
@@ -174,7 +173,7 @@ def run_greedy(
             tree, sig = new_tree, new_sig
 
         if method == "gas":
-            changed = set(np.flatnonzero((st.t != prev_t) | (st.layer != prev_l)).tolist())
+            changed = set(np.flatnonzero((st.t != prev.t) | (st.layer != prev.layer)).tolist())
             changed.add(best)
             cache.pop(best, None)
             if changed:

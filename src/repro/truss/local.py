@@ -174,10 +174,6 @@ class LocalGraph:
         return {(u, v): i for i, (u, v) in enumerate(self.edges.tolist())}
 
     # -- basic queries -------------------------------------------------
-    def vertices(self) -> list[int]:
-        """All vertex ids that appear in at least one edge."""
-        return list(self.adj)
-
     def edge(self, i: int) -> tuple[int, int]:
         """The (src, dst) pair of edge id ``i``."""
         u, v = self.edges[i]

@@ -1,4 +1,6 @@
 """Rand / Sup / Tur random baselines and the AKT vertex baseline."""
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -92,7 +94,7 @@ def test_random_spark_breaks_ties_like_driver(spark, pdf, b, trials, seed):
 def test_greedy_beats_random_baselines(graph):
     """The paper's headline effectiveness claim, at micro scale."""
     g, st = graph
-    gas = run_greedy(None, g, 5, "gas", spark_threshold=10**9)
+    gas = run_greedy(None, g, 5, "gas")
     for seed in (1, 2, 3):
         gain, _ = random_baseline(None, g, st, 5, np.arange(g.m), trials=30, seed=seed)
         assert gas.total_gain >= gain
@@ -126,23 +128,23 @@ def test_akt_objective_monotone_in_vertices(graph):
         prev = cur
 
 
+def _first_vertices(g: LocalGraph, n: int) -> frozenset[int]:
+    """The first ``n`` vertices in order of first appearance in ``g.edges``."""
+    return frozenset(list(dict.fromkeys(g.edges.ravel().tolist()))[:n])
+
+
 def test_akt_measured_no_more_than_objective(graph):
     g, st = graph
     for k in (3, 4, 5):
-        obj, measured = anchored_ktruss_counts(
-            g, st, k, frozenset(list(g.vertices())[:3])
-        )
+        obj, measured = anchored_ktruss_counts(g, st, k, _first_vertices(g, 3))
         assert 0 <= measured <= obj
 
 
-def test_akt_anchored_truss_supersets_plain(graph):
-    """Anchoring vertices only adds edges to the k-truss."""
-    g, st = graph
-    k = 4
-    plain = ktruss_edge_set(g, k)
-    verts = frozenset(list(g.vertices())[:3])
-    cand = [e for e in range(g.m) if int(st.t[e]) >= k - 1]
-    live = set(cand)
+def _restricted_anchored_truss(g, st, k, verts) -> set[int]:
+    """Definition-level anchored k-truss over the ``t >= k-1`` edges:
+    repeatedly drop any unprotected edge with fewer than ``k-2``
+    triangles inside the live set."""
+    live = {e for e in range(g.m) if int(st.t[e]) >= k - 1}
     changed = True
     while changed:
         changed = False
@@ -154,15 +156,38 @@ def test_akt_anchored_truss_supersets_plain(graph):
             if s < k - 2:
                 live.discard(e)
                 changed = True
-    assert plain <= live
+    return live
+
+
+def test_akt_anchored_truss_supersets_plain(graph):
+    """Anchoring vertices only adds edges to the k-truss, and
+    ``anchored_ktruss_counts`` equals a definition-level peel."""
+    g, st = graph
+    cascades = 0
+    for k in range(3, st.kmax + 2):
+        plain = ktruss_edge_set(g, k)
+        deg = Counter(v for e in range(g.m) if int(st.t[e]) == k - 1 for v in g.edge(e))
+        hubs = sorted(deg, key=lambda v: (-deg[v], v))
+        vsets = [frozenset(), _first_vertices(g, 3)] + [
+            frozenset(hubs[:n]) for n in (1, 2, 4)
+        ]
+        for verts in vsets:
+            live = _restricted_anchored_truss(g, st, k, verts)
+            assert plain <= live
+            kept = [e for e in live if int(st.t[e]) == k - 1]
+            measured = sum(1 for e in kept if not set(g.edge(e)) & verts)
+            assert anchored_ktruss_counts(g, st, k, verts) == (len(kept), measured), (
+                k, sorted(verts))
+            cascades += measured
+    assert cascades > 0  # some set lifts an unprotected edge
 
 
 def test_akt_greedy_and_sweep(graph):
     g, st = graph
     gain, verts = akt_greedy(None, g, st, k=4, b=3)
     assert gain >= 0 and len(verts) <= 3
-    sweep = akt_sweep(None, g, st, b=2, k_values=[3, 4])
-    assert set(sweep) == {3, 4}
+    sweep = akt_sweep(None, g, st, b=2)
+    assert set(sweep) == set(range(3, st.kmax + 2))
     assert all(v >= 0 for v in sweep.values())
 
 
@@ -171,7 +196,7 @@ def test_akt_avg_below_gas(graph):
     budget (the paper's avg_gain row; at micro scale the best single k
     can occasionally edge out GAS, see DESIGN.md)."""
     g, st = graph
-    gas = run_greedy(None, g, 3, "gas", spark_threshold=10**9)
+    gas = run_greedy(None, g, 3, "gas")
     sweep = akt_sweep(None, g, st, b=3)
     avg = sum(sweep.values()) / len(sweep)
     if gas.total_gain > 0:

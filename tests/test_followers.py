@@ -26,6 +26,15 @@ def _graphs():
             ),
             frozenset(),
         )
+    # Triangles through the anchor decide followers here: in small4 a
+    # candidate keeps its support only via x, in small178 a candidate
+    # beside x drops and its partner must lose that triangle too.
+    for seed in (4, 178):
+        yield (
+            f"small{seed}",
+            community_graph(n=25, n_cliques=8, n_noise=8, drop_frac=0.15, seed=seed),
+            frozenset(),
+        )
     yield "anchored", random_graph(n=25, m=70, seed=11), frozenset({0, 5})
     yield (
         "comm_anchored",

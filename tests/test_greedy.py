@@ -4,9 +4,7 @@ import pytest
 from repro.core.greedy import get_followers_by_decomp, run_greedy
 from repro.graphs.gen import community_graph, random_graph
 from repro.graphs.toys import truss_ladder
-from repro.truss.local import LocalGraph, decompose
-
-LOCAL = 10**9  # spark_threshold that forces driver-side evaluation
+from repro.truss.local import LocalGraph, decompose, trussness_gain
 
 
 def _graphs():
@@ -27,9 +25,9 @@ CASES = list(_graphs())
 @pytest.mark.parametrize("label,pdf", CASES, ids=[c[0] for c in CASES])
 def test_methods_equivalent(label, pdf):
     g = LocalGraph(pdf)
-    rb = run_greedy(None, g, 3, "base", spark_threshold=LOCAL)
-    rp = run_greedy(None, g, 3, "base+", spark_threshold=LOCAL)
-    rg = run_greedy(None, g, 3, "gas", spark_threshold=LOCAL)
+    rb = run_greedy(None, g, 3, "base")
+    rp = run_greedy(None, g, 3, "base+")
+    rg = run_greedy(None, g, 3, "gas")
     assert rb.anchors == rp.anchors == rg.anchors, label
     assert rb.total_gain == rp.total_gain == rg.total_gain
 
@@ -37,7 +35,7 @@ def test_methods_equivalent(label, pdf):
 @pytest.mark.parametrize("label,pdf", CASES[:3], ids=[c[0] for c in CASES[:3]])
 def test_round_gains_sum_to_total(label, pdf):
     g = LocalGraph(pdf)
-    r = run_greedy(None, g, 4, "gas", spark_threshold=LOCAL)
+    r = run_greedy(None, g, 4, "gas")
     assert sum(rd.gain for rd in r.rounds) == r.total_gain
 
 
@@ -45,14 +43,14 @@ def test_gas_reuses_cache():
     g = LocalGraph(
         community_graph(n=60, n_cliques=25, clique_max=8, n_noise=20, drop_frac=0.1, seed=2)
     )
-    r = run_greedy(None, g, 3, "gas", spark_threshold=LOCAL)
+    r = run_greedy(None, g, 3, "gas")
     assert r.rounds[0].reused == 0
     assert any(rd.reused > 0 for rd in r.rounds[1:])
 
 
 def test_anchors_are_distinct_and_valid():
     g = LocalGraph(truss_ladder())
-    r = run_greedy(None, g, 5, "gas", spark_threshold=LOCAL)
+    r = run_greedy(None, g, 5, "gas")
     assert len(set(r.anchors)) == len(r.anchors)
     assert all(0 <= a < g.m for a in r.anchors)
     assert len(r.anchor_edges) == len(r.anchors)
@@ -60,7 +58,7 @@ def test_anchors_are_distinct_and_valid():
 
 def test_budget_capped_by_edge_count():
     g = LocalGraph(truss_ladder())
-    r = run_greedy(None, g, g.m + 10, "base+", spark_threshold=LOCAL)
+    r = run_greedy(None, g, g.m + 10, "base+")
     assert len(r.anchors) <= g.m
 
 
@@ -77,18 +75,25 @@ def test_negative_budget_raises():
             run_greedy(None, g, -1, method)
 
 
-@pytest.mark.parametrize("method", ["base", "gas"])
-def test_no_spark_runs_on_driver_above_default_threshold(method):
-    # m = 581 candidates, more than a fixed fan-out threshold of 512 would
-    # keep on the driver; with spark=None every round must still run there.
+@pytest.fixture(scope="module")
+def big_runs():
+    """BASE and GAS with ``spark=None`` on a graph above 512 candidates."""
     g = LocalGraph(
         community_graph(n=200, n_cliques=70, clique_max=9, n_noise=60, drop_frac=0.1, seed=0)
     )
     assert g.m >= 512
-    default = run_greedy(None, g, 2, method)
-    forced = run_greedy(None, g, 2, method, spark_threshold=LOCAL)
-    assert default.anchors == forced.anchors
-    assert default.total_gain == forced.total_gain
+    return g, {method: run_greedy(None, g, 2, method) for method in ("base", "gas")}
+
+
+@pytest.mark.parametrize("method", ["base", "gas"])
+def test_no_spark_runs_on_driver_above_default_threshold(method, big_runs):
+    # m = 581 candidates, more than a fixed fan-out threshold of 512 would
+    # keep on the driver; with spark=None every round must still run there
+    # and agree with the other method and with the definition of TG.
+    g, runs = big_runs
+    r = runs[method]
+    assert r.anchors == runs["base"].anchors == runs["gas"].anchors
+    assert r.total_gain == trussness_gain(g, decompose(g), frozenset(r.anchors))
 
 
 @pytest.mark.parametrize("seed", [0, 2, 4])
@@ -113,7 +118,7 @@ def test_gas_reused_gains_equal_fresh_followers(seed, monkeypatch):
     g = LocalGraph(
         community_graph(n=60, n_cliques=25, clique_max=8, n_noise=20, drop_frac=0.1, seed=seed)
     )
-    r = run_greedy(None, g, 5, "gas", spark_threshold=LOCAL)
+    r = run_greedy(None, g, 5, "gas")
     assert len(seen) == len(r.anchors) == 5
     assert sum(rd.reused for rd in r.rounds) > 0
     for k, gains in enumerate(seen):
@@ -127,7 +132,7 @@ def test_track_tree_reports_classes():
     g = LocalGraph(
         community_graph(n=40, n_cliques=14, n_noise=10, drop_frac=0.12, seed=4)
     )
-    r = run_greedy(None, g, 2, "gas", spark_threshold=LOCAL, track_tree=True)
+    r = run_greedy(None, g, 2, "gas", track_tree=True)
     assert r.rounds[0].reuse_classes  # populated after the first anchoring
     assert set().union(*[set(rd.reuse_classes) for rd in r.rounds]) <= {"FR", "PR", "NR"}
 
@@ -149,7 +154,7 @@ def test_gas_spark_path_matches_local(spark):
     g = LocalGraph(
         community_graph(n=50, n_cliques=18, n_noise=15, drop_frac=0.1, seed=6)
     )
-    local = run_greedy(None, g, 2, "gas", spark_threshold=LOCAL)
+    local = run_greedy(None, g, 2, "gas")
     dist = run_greedy(spark, g, 2, "gas", spark_threshold=0)
     assert local.anchors == dist.anchors
     assert local.total_gain == dist.total_gain
@@ -159,7 +164,7 @@ def test_base_spark_path_matches_local(spark):
     g = LocalGraph(
         community_graph(n=35, n_cliques=12, n_noise=8, drop_frac=0.1, seed=7)
     )
-    local = run_greedy(None, g, 2, "base", spark_threshold=LOCAL)
+    local = run_greedy(None, g, 2, "base")
     dist = run_greedy(spark, g, 2, "base", spark_threshold=0)
     assert local.anchors == dist.anchors
     assert local.total_gain == dist.total_gain
@@ -169,7 +174,7 @@ def test_base_plus_spark_path_matches_local(spark):
     g = LocalGraph(
         community_graph(n=40, n_cliques=15, n_noise=10, drop_frac=0.1, seed=8)
     )
-    local = run_greedy(None, g, 2, "base+", spark_threshold=LOCAL)
+    local = run_greedy(None, g, 2, "base+")
     dist = run_greedy(spark, g, 2, "base+", spark_threshold=0)
     assert local.anchors == dist.anchors
     assert local.total_gain == dist.total_gain

@@ -118,7 +118,7 @@ def test_signature_diff_detects_changes():
     # anchor an edge with followers -> some node expires
     from repro.core.greedy import run_greedy
 
-    res = run_greedy(None, g, 1, "gas", spark_threshold=10**9)
+    res = run_greedy(None, g, 1, "gas")
     x = res.anchors[0]
     st1 = decompose(g, frozenset({x}))
     tree1 = build_tree(g, st1)
